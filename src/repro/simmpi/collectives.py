@@ -322,16 +322,27 @@ def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
 # ----------------------------------------------------------------------
 
 def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
+    # hot path: helpers inlined (carries the drain's p^2 per-pair
+    # counter messages at every checkpoint)
     p = comm.size
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
     result: List[Any] = [None] * p
     result[me] = data[me]
+    ctx = comm.coll_ctx
+    wr = comm.group.world_ranks
+    base = seq * TAG_STRIDE
+    isend = lib._isend_raw
+    irecv = lib._irecv_raw
+    wait = lib._wait
     for i in range(1, p):
+        if i >= TAG_STRIDE:
+            raise MpiError(f"collective round {i} exceeds tag stride")
         dst = (me + i) % p
         src = (me - i) % p
-        yield from _send(lib, task, comm, dst, _tag(seq, i), data[dst])
-        result[src] = yield from _recv(lib, task, comm, src, _tag(seq, i))
+        tag = base + i
+        yield from isend(task, ctx, wr[dst], tag, data[dst])
+        result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
     return result
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+import heapq
+from collections import defaultdict, deque
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.des.scheduler import Scheduler
@@ -66,10 +68,27 @@ class Network:
     the same (src, dst) pair.
 
     A message is *in flight* from :meth:`inject` until the destination
-    endpoint's delivery callback runs.  :meth:`in_flight_bytes` and
-    :meth:`pending_messages` expose that state for the drain invariant
-    checks; the MANA drain itself never peeks at this (it only uses MPI
-    calls, as in the paper) — only tests and assertions do.
+    endpoint's delivery callback runs.  In-flight state is indexed two
+    ways:
+
+    * per destination rank, an insertion-ordered ``msg_id -> Message``
+      dict.  Injection order is message-id order (:class:`NetworkStats`
+      refuses a non-increasing id), so every query below returns
+      messages in message-id order without sorting;
+    * per ``(src, dst)`` pair, a deque used only for the FIFO head check
+      at delivery.  A pair's key is deleted when its deque empties, so
+      the map never holds more keys than there are messages in flight.
+
+    The MANA drain itself never peeks at this state (it only uses MPI
+    calls, as in the paper); the simulation-side invariants do: the
+    post-drain check, the restart teardown and the deadlock detector.
+    Query costs, with ``n`` messages in flight: :meth:`in_flight_count`
+    is O(1); :meth:`app_in_flight` and :meth:`in_flight_bytes` with a
+    destination are O(messages in flight to it); :meth:`in_flight_bytes`
+    without one is O(n); :meth:`pending_messages` (and so
+    :meth:`app_in_flight` without a destination) is a k-way merge,
+    O(nranks + n log nranks).  None of them grows with the number of
+    pairs that have ever communicated.
     """
 
     def __init__(self, sched: Scheduler, machine: MachineSpec, nranks: int):
@@ -88,7 +107,11 @@ class Network:
         self._tracer = sched.tracer
         self._endpoints: List[Optional[DeliveryFn]] = [None] * nranks
         self._last_arrival: Dict[Tuple[int, int], float] = {}
-        self._in_flight: Dict[Tuple[int, int], List[Message]] = defaultdict(list)
+        #: per-destination in-flight index, msg_id -> Message in
+        #: message-id order
+        self._to_dst: List[Dict[int, Message]] = [{} for _ in range(nranks)]
+        #: per-pair FIFO of in-flight messages; no empty deques are kept
+        self._pair_fifo: Dict[Tuple[int, int], Deque[Message]] = {}
         self._in_flight_total = 0
         #: high-water mark of simultaneously in-flight messages; the
         #: drain asserts it returns to zero at every checkpoint
@@ -178,12 +201,17 @@ class Network:
         if arrival <= prev:
             arrival = prev + 1e-12  # preserve per-pair FIFO with distinct times
         self._last_arrival[pair] = arrival
-        self._in_flight[pair].append(msg)
+        # record first: a refused (re-used) id never enters the index
+        self.stats.record(msg, intranode)
+        fifo = self._pair_fifo.get(pair)
+        if fifo is None:
+            fifo = self._pair_fifo[pair] = deque()
+        fifo.append(msg)
+        self._to_dst[dst][msg.msg_id] = msg
         total = self._in_flight_total + 1
         self._in_flight_total = total
         if total > self.in_flight_peak:
             self.in_flight_peak = total
-        self.stats.record(msg, intranode)
         sched.schedule_call_at(arrival, self._deliver, msg)
         tr = self._tracer
         if tr.enabled:
@@ -198,13 +226,17 @@ class Network:
             self._purged.discard(msg.msg_id)
             return
         dst = msg.dst
-        queue = self._in_flight[(msg.src, dst)]
-        if not queue or queue[0] is not msg:
+        pair = (msg.src, dst)
+        fifo = self._pair_fifo.get(pair)
+        if not fifo or fifo[0] is not msg:
             raise SimulationError(
                 f"FIFO violation delivering {msg!r}; head is "
-                f"{queue[0]!r}" if queue else f"lost message {msg!r}"
+                f"{fifo[0]!r}" if fifo else f"lost message {msg!r}"
             )
-        del queue[0]
+        fifo.popleft()
+        if not fifo:
+            del self._pair_fifo[pair]
+        del self._to_dst[dst][msg.msg_id]
         total = self._in_flight_total - 1
         self._in_flight_total = total
         tr = self._tracer
@@ -219,7 +251,8 @@ class Network:
         endpoint(msg)
 
     # ------------------------------------------------------------------
-    # in-flight introspection (tests/assertions only; MANA never calls it)
+    # in-flight queries: read the index (drain invariant, restart
+    # teardown, deadlock detector, tests)
     # ------------------------------------------------------------------
     def in_flight_count(self) -> int:
         return self._in_flight_total
@@ -227,31 +260,35 @@ class Network:
     def in_flight_bytes(
         self, src: Optional[int] = None, dst: Optional[int] = None
     ) -> int:
-        total = 0
-        for (s, d), msgs in self._in_flight.items():
-            if src is not None and s != src:
-                continue
-            if dst is not None and d != dst:
-                continue
-            total += sum(m.nbytes for m in msgs)
-        return total
+        if dst is not None:
+            msgs = self._to_dst[dst].values()
+            if src is None:
+                return sum(m.nbytes for m in msgs)
+            return sum(m.nbytes for m in msgs if m.src == src)
+        return sum(
+            m.nbytes
+            for (s, _d), fifo in self._pair_fifo.items()
+            if src is None or s == src
+            for m in fifo
+        )
 
     def pending_messages(self) -> List[Message]:
-        out: List[Message] = []
-        for msgs in self._in_flight.values():
-            out.extend(msgs)
-        out.sort(key=lambda m: m.msg_id)
-        return out
+        """Every in-flight message, in message-id order (a merge of the
+        already-ordered per-destination dicts)."""
+        live = [d.values() for d in self._to_dst if d]
+        return list(heapq.merge(*live, key=attrgetter("msg_id")))
 
     def app_in_flight(self, dst: Optional[int] = None) -> List[Message]:
         """In-flight messages on *application* communicator contexts
         (even context ids; odd ids are collective-internal traffic that
-        the drain never sees, per the paper's Section III-B scope).
-        Optionally filtered to one destination rank."""
-        return [
-            m for m in self.pending_messages()
-            if m.context_id % 2 == 0 and (dst is None or m.dst == dst)
-        ]
+        the drain never sees, per the paper's Section III-B scope), in
+        message-id order.  Optionally filtered to one destination rank,
+        which reads only that rank's slice of the index."""
+        msgs = (
+            self.pending_messages() if dst is None
+            else self._to_dst[dst].values()
+        )
+        return [m for m in msgs if m.context_id % 2 == 0]
 
     # ------------------------------------------------------------------
     # restart support: the fabric persists across a lower-half teardown;
@@ -264,11 +301,11 @@ class Network:
         and those are regenerated by replay — the restart engine asserts
         exactly that before calling this."""
         n = 0
-        for msgs in self._in_flight.values():
-            for m in msgs:
-                self._purged.add(m.msg_id)
-                n += 1
-            msgs.clear()
+        for d in self._to_dst:
+            self._purged.update(d)
+            n += len(d)
+            d.clear()
+        self._pair_fifo.clear()
         self._in_flight_total = 0
         return n
 

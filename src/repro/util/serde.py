@@ -61,6 +61,14 @@ def payload_nbytes(obj: Any) -> int:
         return 8
     if t is float:
         return 8
+    if t is tuple or t is list:
+        # e.g. the drain's (bytes, msgs) counters; int/float elements
+        # are sized inline, everything else (bool too) recurses
+        n = 8
+        for x in obj:
+            tx = type(x)
+            n += 8 if tx is int or tx is float else payload_nbytes(x)
+        return n
     if obj is None:
         return 0
     if t is np.ndarray:

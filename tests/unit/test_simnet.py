@@ -135,6 +135,94 @@ class TestInFlightAccounting:
         assert net.stats.bytes == 500
 
 
+class TestInFlightIndex:
+    def test_queries_are_in_message_id_order(self):
+        sched, net = make_net(4)
+        for r in range(4):
+            net.attach_endpoint(r, lambda m: None)
+        sent = []
+        for src in (3, 1, 0, 3, 2, 1):
+            msg = Message(src=src, dst=2 if src != 2 else 0, context_id=0,
+                          tag=src, payload=None, nbytes=1)
+            net.inject(msg)
+            sent.append(msg)
+        to_2 = [m for m in sent if m.dst == 2]
+        assert net.app_in_flight(dst=2) == to_2
+        assert net.pending_messages() == sent  # ids increase with creation
+        sched.run()
+        assert net.pending_messages() == []
+
+    def test_all_pairs_exchange_leaves_no_index_entries(self):
+        p = 64
+        sched, net = make_net(p, CORI_HASWELL)
+        got = []
+        for r in range(p):
+            net.attach_endpoint(r, got.append)
+        for src in range(p):
+            for dst in range(p):
+                if src != dst:
+                    net.inject(Message(src=src, dst=dst, context_id=1,
+                                       tag=0, payload=None, nbytes=16))
+        assert net.in_flight_count() == p * (p - 1)
+        assert len(net._pair_fifo) == p * (p - 1)
+        sched.run()
+        assert len(got) == p * (p - 1)
+        assert net.in_flight_count() == 0
+        assert net._pair_fifo == {}
+        assert all(not d for d in net._to_dst)
+        assert net.pending_messages() == []
+        net.assert_empty()
+
+    def test_purge_then_reinject_same_pair_is_fifo(self):
+        sched, net = make_net(2)
+        got = []
+        net.attach_endpoint(0, lambda m: None)
+        net.attach_endpoint(1, got.append)
+        for tag in range(3):
+            net.inject(Message(src=0, dst=1, context_id=0, tag=tag,
+                               payload=None, nbytes=1000))
+        assert net.purge_in_flight() == 3
+        assert net.pending_messages() == []
+        for tag in (10, 11, 12):
+            net.inject(Message(src=0, dst=1, context_id=0, tag=tag,
+                               payload=None, nbytes=1))
+        assert [m.tag for m in net.app_in_flight(dst=1)] == [10, 11, 12]
+        sched.run()
+        assert [m.tag for m in got] == [10, 11, 12]
+        assert net.in_flight_count() == 0
+        assert net._pair_fifo == {}
+        assert all(not d for d in net._to_dst)
+        net.assert_empty()
+
+    def test_partial_delivery_bytes_and_app_context_filter(self):
+        sched, net = make_net(3)
+        got = []
+        for r in range(3):
+            net.attach_endpoint(r, got.append)
+        small = Message(src=0, dst=2, context_id=0, tag=0, payload=None,
+                        nbytes=8)
+        coll = Message(src=0, dst=2, context_id=1, tag=1, payload=None,
+                       nbytes=50_000_000)
+        app = Message(src=1, dst=2, context_id=2, tag=2, payload=None,
+                      nbytes=40_000_000)
+        for m in (small, coll, app):
+            net.inject(m)
+        # deliver only the small message (well before the big ones land)
+        sched.run(until=small.injected_at + 1e-3)
+        assert got == [small]
+        assert net.in_flight_bytes(src=0, dst=2) == 50_000_000
+        assert net.in_flight_bytes(src=1, dst=2) == 40_000_000
+        assert net.in_flight_bytes(src=0) == 50_000_000
+        assert net.in_flight_bytes(dst=2) == 90_000_000
+        assert net.in_flight_bytes(dst=0) == 0
+        assert net.app_in_flight(dst=2) == [app]
+        assert net.app_in_flight() == [app]
+        assert net.pending_messages() == [coll, app]
+        sched.run()
+        assert net.in_flight_bytes() == 0
+        assert net.app_in_flight(dst=2) == []
+
+
 class TestOob:
     def test_coordinator_round_trip(self):
         sched = Scheduler()

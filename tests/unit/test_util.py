@@ -79,6 +79,18 @@ class TestSerde:
         assert payload_nbytes([1, 2]) == 8 + 16
         assert payload_nbytes({"k": 1.0}) == 8 + 1 + 8
 
+    def test_payload_nbytes_sequence_fast_path_matches_generic(self):
+        from collections import namedtuple
+
+        # exact tuple/list take the fast path; a tuple subclass the
+        # generic one -- both must size every element the same way
+        Pair = namedtuple("Pair", "a b")
+        assert payload_nbytes((4096, 3)) == 8 + 8 + 8
+        assert payload_nbytes(Pair(4096, 3)) == payload_nbytes((4096, 3))
+        assert payload_nbytes((True, 2.5, None)) == 8 + 1 + 8 + 0
+        assert payload_nbytes([(1, 2), b"ab", np.int32(5)]) == (
+            8 + (8 + 16) + 2 + 4)
+
     def test_payload_nbytes_consistent(self):
         obj = {"x": np.arange(7), "y": [1, "two"]}
         assert payload_nbytes(obj) == payload_nbytes(obj)
