@@ -50,19 +50,20 @@ def _ceil_log2(p: int) -> int:
 
 # ----------------------------------------------------------------------
 # Each helper below sends/receives on the collective context of `comm`.
-# `lib` supplies the raw primitives (see MpiLibrary._isend_raw/_irecv_raw).
+# `lib` supplies the request-free primitives (see MpiLibrary._send_coll
+# and MpiLibrary._recv_coll).
 # ----------------------------------------------------------------------
 
 def _send(lib, task, comm: RealComm, dst_local: int, tag: int, payload: Any):
-    dst_world = comm.world_rank(dst_local)
-    req = yield from lib._isend_raw(task, comm.coll_ctx, dst_world, tag, payload)
-    return req
+    yield from lib._send_coll(
+        task, comm.coll_ctx, comm.world_rank(dst_local), tag, payload
+    )
 
 
 def _recv(lib, task, comm: RealComm, src_local: int, tag: int):
-    src_world = comm.world_rank(src_local)
-    req = lib._irecv_raw(task, comm.coll_ctx, src_world, tag)
-    payload = yield from lib._wait(task, req)
+    payload = yield from lib._recv_coll(
+        task, comm.coll_ctx, comm.world_rank(src_local), tag
+    )
     return payload
 
 
@@ -78,14 +79,13 @@ def barrier(lib, task, comm: RealComm, me: int, seq: int):
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
     base = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
+    send = lib._send_coll
+    recv = lib._recv_coll
     for k in range(_ceil_log2(p)):
         d = 1 << k
         tag = base + k
-        yield from isend(task, ctx, wr[(me + d) % p], tag, None)
-        yield from wait(task, irecv(task, ctx, wr[(me - d) % p], tag))
+        yield from send(task, ctx, wr[(me + d) % p], tag, None)
+        yield from recv(task, ctx, wr[(me - d) % p], tag)
     return None
 
 
@@ -104,15 +104,14 @@ def bcast(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int):
     while mask < p:
         if vr & mask:
             parent = (vr - mask + root) % p
-            req = lib._irecv_raw(task, ctx, wr[parent], tag)
-            data = yield from lib._wait(task, req)
+            data = yield from lib._recv_coll(task, ctx, wr[parent], tag)
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if vr + mask < p:
             child = (vr + mask + root) % p
-            yield from lib._isend_raw(task, ctx, wr[child], tag, data)
+            yield from lib._send_coll(task, ctx, wr[child], tag, data)
         mask >>= 1
     return data
 
@@ -181,29 +180,28 @@ def allreduce(
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
     base = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
+    send = lib._send_coll
+    recv = lib._recv_coll
     if me >= r:
-        yield from isend(task, ctx, wr[me - r], base, acc)
+        yield from send(task, ctx, wr[me - r], base, acc)
     else:
         if me < extra:
-            other = yield from wait(task, irecv(task, ctx, wr[me + r], base))
+            other = yield from recv(task, ctx, wr[me + r], base)
             acc = op(acc, other)
         mask = 1
         rnd = 1
         while mask < r:
             partner = wr[me ^ mask]
             tag = base + rnd
-            yield from isend(task, ctx, partner, tag, acc)
-            other = yield from wait(task, irecv(task, ctx, partner, tag))
+            yield from send(task, ctx, partner, tag, acc)
+            other = yield from recv(task, ctx, partner, tag)
             acc = op(acc, other)
             mask <<= 1
             rnd += 1
         if me < extra:
-            yield from isend(task, ctx, wr[me + r], base + 1, acc)
+            yield from send(task, ctx, wr[me + r], base + 1, acc)
     if me >= r:
-        acc = yield from wait(task, irecv(task, ctx, wr[me - r], base + 1))
+        acc = yield from recv(task, ctx, wr[me - r], base + 1)
     return acc
 
 
@@ -303,16 +301,15 @@ def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     right = wr[(me + 1) % p]
     left = wr[(me - 1) % p]
     base = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
+    send = lib._send_coll
+    recv = lib._recv_coll
     cur = data
     for step in range(p - 1):
         if step >= TAG_STRIDE:
             raise MpiError(f"collective round {step} exceeds tag stride")
         tag = base + step
-        yield from isend(task, ctx, right, tag, cur)
-        cur = yield from wait(task, irecv(task, ctx, left, tag))
+        yield from send(task, ctx, right, tag, cur)
+        cur = yield from recv(task, ctx, left, tag)
         blocks[(me - step - 1) % p] = cur
     return blocks
 
@@ -332,17 +329,16 @@ def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
     base = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
+    send = lib._send_coll
+    recv = lib._recv_coll
     for i in range(1, p):
         if i >= TAG_STRIDE:
             raise MpiError(f"collective round {i} exceeds tag stride")
         dst = (me + i) % p
         src = (me - i) % p
         tag = base + i
-        yield from isend(task, ctx, wr[dst], tag, data[dst])
-        result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
+        yield from send(task, ctx, wr[dst], tag, data[dst])
+        result[src] = yield from recv(task, ctx, wr[src], tag)
     return result
 
 

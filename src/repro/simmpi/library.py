@@ -23,6 +23,7 @@ from repro.des.scheduler import Scheduler
 from repro.des.syscalls import Advance, Park
 from repro.hosts.machine import MachineSpec
 from repro.simmpi import collectives as coll
+from repro.simmpi import request as _request
 from repro.simmpi.comm import RealComm
 from repro.simmpi.constants import (
     ANY_SOURCE,
@@ -173,6 +174,52 @@ class MpiLibrary:
         # status, no callback registered yet, payload already None
         req.done = True
         return req
+
+    # ------------------------------------------------------------------
+    # collective-internal messaging: request-free, exact-match.  Nobody
+    # waits on a collective's send, and its receive names one source
+    # and tag, so neither needs a request object unless the receive
+    # must park.  Each still draws one request id exactly where
+    # ``_isend_raw`` / ``_irecv_raw`` would, so ids (which reach traced
+    # park reasons) match the request-based path.  The id is drawn
+    # through the module so a rebound counter is always the one used.
+    # ------------------------------------------------------------------
+    def _send_coll(self, task: RankTask, ctx: int, dst_world: int, tag: int,
+                   payload: Any):
+        """``_isend_raw`` without the discarded request."""
+        if self.destroyed:
+            self._check()
+        yield self._adv_send
+        self.network.inject(Message(
+            task.world_rank, dst_world, ctx, tag, payload,
+            payload_nbytes(payload),
+        ))
+        next(_request._req_ids)
+
+    def _recv_coll(self, task: RankTask, ctx: int, src_world: int, tag: int):
+        """``_wait(task, _irecv_raw(...))`` for an exact (ctx, source,
+        tag): an already-arrived message is taken straight from the
+        unexpected queue; otherwise one request is posted and the
+        caller parks on it."""
+        if self.destroyed:
+            self._check()
+        ep = self.endpoints[task.world_rank]
+        unexpected = ep.unexpected
+        for i, msg in enumerate(unexpected):
+            if msg.tag == tag and msg.src == src_world and msg.context_id == ctx:
+                del unexpected[i]
+                next(_request._req_ids)
+                yield self._adv_recv
+                return msg.payload
+        req = RealRequest(_RECV, ctx, src_world, tag)
+        ep.posted.append(req)
+        req.waiter = task.proc
+        if self._tracer.enabled:
+            yield Park(f"MPI_Wait({req!r}) rank {task.world_rank}")
+        else:
+            yield _PARK_WAIT
+        yield self._adv_recv
+        return req.payload
 
     def _irecv_raw(self, task: RankTask, ctx: int, src_world, tag) -> RealRequest:
         if self.destroyed:

@@ -66,8 +66,16 @@ class Endpoint:
         self.unexpected.append(msg)
 
     def _complete_recv(self, req: RealRequest, msg: Message) -> None:
-        status = Status(source=msg.src, tag=msg.tag, count=msg.nbytes)
-        req.complete(payload=msg.payload, status=status)
+        # ``req.complete(payload, status)`` inlined, status positional
+        if req.done:
+            raise RuntimeError(f"request {req.req_id} completed twice")
+        req.done = True
+        req.payload = msg.payload
+        nbytes = msg.nbytes
+        req.status = Status(msg.src, msg.tag, nbytes)
+        req.nbytes = nbytes
+        if req._on_complete is not None:
+            req._on_complete(req)
         if req.waiter is not None and self._wake is not None:
             self._wake(req.waiter)
 

@@ -21,12 +21,13 @@ class Message:
 
     A plain ``__slots__`` class (not a dataclass): one is allocated per
     point-to-point message, so construction is on the simulator's hot
-    path.  Identity comparison is intentional — the fabric's FIFO check
-    compares heads by ``is``.
+    path.  ``pair_seq`` is the message's index among the messages
+    injected on its ``(src, dst)`` pair, stamped by the fabric at
+    injection (-1 before); delivery checks it to enforce per-pair FIFO.
     """
 
     __slots__ = ("src", "dst", "context_id", "tag", "payload", "nbytes",
-                 "injected_at", "msg_id")
+                 "injected_at", "msg_id", "pair_seq")
 
     def __init__(self, src: int, dst: int, context_id: int, tag: int,
                  payload: Any, nbytes: int, injected_at: float = 0.0,
@@ -39,6 +40,7 @@ class Message:
         self.nbytes = nbytes
         self.injected_at = injected_at
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        self.pair_seq = -1
 
     def match_key(self) -> tuple:
         return (self.context_id, self.src, self.tag)

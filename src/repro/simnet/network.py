@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections.abc import Mapping
 from operator import attrgetter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.des.scheduler import Scheduler
@@ -20,13 +20,65 @@ DeliveryFn = Callable[[Message], None]
 FaultFilter = Callable[[Message], Optional[tuple]]
 
 
+class _Link:
+    """Per-``(src, dst)`` link record: everything the fabric keeps about
+    one ordered pair of ranks.
+
+    ``messages``/``bytes`` are the cumulative totals recorded at
+    injection (the :class:`NetworkStats` per-pair ledger);
+    ``delivered`` counts messages that left the fabric on this pair
+    (delivered or purged), so it is the per-pair index the next
+    delivery must carry; ``last_arrival`` is the clamp that keeps
+    arrivals on the pair strictly increasing.  Three counters and a
+    float per pair that has ever communicated; no per-pair container.
+    """
+
+    __slots__ = ("messages", "bytes", "delivered", "last_arrival")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.bytes = 0
+        self.delivered = 0
+        self.last_arrival = -1.0
+
+
+class _PairCounts(Mapping):
+    """Read-only ``(src, dst) -> total`` view over the link records.
+
+    Iterates the pairs that have carried at least one message; reading
+    any other pair returns 0 without creating an entry."""
+
+    __slots__ = ("_links", "_get")
+
+    def __init__(self, links: Dict[Tuple[int, int], _Link], field: str):
+        self._links = links
+        self._get = attrgetter(field)
+
+    def __getitem__(self, pair: Tuple[int, int]) -> int:
+        link = self._links.get(pair)
+        return 0 if link is None else self._get(link)
+
+    def __contains__(self, pair: object) -> bool:
+        link = self._links.get(pair)
+        return link is not None and link.messages > 0
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return (pair for pair, link in self._links.items() if link.messages)
+
+    def __len__(self) -> int:
+        return sum(1 for link in self._links.values() if link.messages)
+
+
 class NetworkStats:
     """Cumulative traffic counters (used by benches and Figure 4).
 
     Per-pair totals are kept alongside the global ones so that MANA's
     per-pair drain counters can be audited against what actually crossed
     the fabric: for every (src, dst), ``pair_bytes`` must equal the
-    sender-side drain counter at a quiesced checkpoint.  A message is
+    sender-side drain counter at a quiesced checkpoint.  The per-pair
+    totals live in the fabric's link records (one :class:`_Link` per
+    ``(src, dst)``, shared with :class:`Network`); ``pair_messages`` and
+    ``pair_bytes`` are read-only views over them.  A message is
     recorded exactly once, at injection — :meth:`record` refuses
     double-recording (the accounting-drift bug class where a retried
     injection inflates one side of the pair ledger).
@@ -37,21 +89,35 @@ class NetworkStats:
         self.bytes = 0
         self.intranode_messages = 0
         self.internode_messages = 0
-        self.pair_messages: Dict[Tuple[int, int], int] = defaultdict(int)
-        self.pair_bytes: Dict[Tuple[int, int], int] = defaultdict(int)
+        #: (src, dst) -> link record, shared with the owning Network
+        self.links: Dict[Tuple[int, int], _Link] = {}
+        self.pair_messages: Mapping[Tuple[int, int], int] = _PairCounts(
+            self.links, "messages"
+        )
+        self.pair_bytes: Mapping[Tuple[int, int], int] = _PairCounts(
+            self.links, "bytes"
+        )
         self._recorded_high = 0  # highest msg_id seen (ids are monotone)
 
-    def record(self, msg: Message, intranode: bool) -> None:
+    def record(self, msg: Message, intranode: bool,
+               link: Optional[_Link] = None) -> None:
+        """Account one injected message; ``link`` is the pair's record
+        when the caller already holds it."""
         if msg.msg_id <= self._recorded_high:
             raise SimulationError(
                 f"{msg!r} recorded twice: per-pair accounting would drift"
             )
         self._recorded_high = msg.msg_id
         self.messages += 1
-        self.bytes += msg.nbytes
-        pair = (msg.src, msg.dst)
-        self.pair_messages[pair] += 1
-        self.pair_bytes[pair] += msg.nbytes
+        nbytes = msg.nbytes
+        self.bytes += nbytes
+        if link is None:
+            pair = (msg.src, msg.dst)
+            link = self.links.get(pair)
+            if link is None:
+                link = self.links[pair] = _Link()
+        link.messages += 1
+        link.bytes += nbytes
         if intranode:
             self.intranode_messages += 1
         else:
@@ -67,17 +133,21 @@ class Network:
     clamping each arrival to be no earlier than the previous arrival on
     the same (src, dst) pair.
 
-    A message is *in flight* from :meth:`inject` until the destination
-    endpoint's delivery callback runs.  In-flight state is indexed two
-    ways:
+    Each ``(src, dst)`` pair that has ever communicated owns one
+    slotted link record (:class:`_Link`): its message/byte totals, its
+    last arrival time, and how many of its messages have left the
+    fabric.  :meth:`inject` and :meth:`_deliver` each do one lookup of
+    it.  Injection stamps a message with its per-pair index
+    (``Message.pair_seq``); delivery checks that the message carries the
+    pair's next index, so any reordering on a pair raises a "FIFO
+    violation" without a per-pair queue.
 
-    * per destination rank, an insertion-ordered ``msg_id -> Message``
-      dict.  Injection order is message-id order (:class:`NetworkStats`
-      refuses a non-increasing id), so every query below returns
-      messages in message-id order without sorting;
-    * per ``(src, dst)`` pair, a deque used only for the FIFO head check
-      at delivery.  A pair's key is deleted when its deque empties, so
-      the map never holds more keys than there are messages in flight.
+    A message is *in flight* from :meth:`inject` until the destination
+    endpoint's delivery callback runs.  In-flight messages are indexed
+    per destination rank, in an insertion-ordered ``msg_id -> Message``
+    dict.  Injection order is message-id order (:class:`NetworkStats`
+    refuses a non-increasing id), so every query below returns messages
+    in message-id order without sorting.
 
     The MANA drain itself never peeks at this state (it only uses MPI
     calls, as in the paper); the simulation-side invariants do: the
@@ -106,17 +176,16 @@ class Network:
         self._net_bw = machine.net_bandwidth
         self._tracer = sched.tracer
         self._endpoints: List[Optional[DeliveryFn]] = [None] * nranks
-        self._last_arrival: Dict[Tuple[int, int], float] = {}
         #: per-destination in-flight index, msg_id -> Message in
         #: message-id order
         self._to_dst: List[Dict[int, Message]] = [{} for _ in range(nranks)]
-        #: per-pair FIFO of in-flight messages; no empty deques are kept
-        self._pair_fifo: Dict[Tuple[int, int], Deque[Message]] = {}
         self._in_flight_total = 0
         #: high-water mark of simultaneously in-flight messages; the
         #: drain asserts it returns to zero at every checkpoint
         self.in_flight_peak = 0
         self.stats = NetworkStats()
+        #: (src, dst) -> link record (the same dict the stats read)
+        self._links = self.stats.links
         self._sealed = False
         self._purged: set = set()
         #: messages eaten by an armed fault filter (never delivered)
@@ -197,16 +266,16 @@ class Network:
         else:
             transit = self._net_lat + nbytes / self._net_bw
         arrival = now + transit + extra_delay
-        prev = self._last_arrival.get(pair, -1.0)
+        link = self._links.get(pair)
+        if link is None:
+            link = self._links[pair] = _Link()
+        prev = link.last_arrival
         if arrival <= prev:
             arrival = prev + 1e-12  # preserve per-pair FIFO with distinct times
-        self._last_arrival[pair] = arrival
+        link.last_arrival = arrival
+        msg.pair_seq = link.messages
         # record first: a refused (re-used) id never enters the index
-        self.stats.record(msg, intranode)
-        fifo = self._pair_fifo.get(pair)
-        if fifo is None:
-            fifo = self._pair_fifo[pair] = deque()
-        fifo.append(msg)
+        self.stats.record(msg, intranode, link)
         self._to_dst[dst][msg.msg_id] = msg
         total = self._in_flight_total + 1
         self._in_flight_total = total
@@ -226,16 +295,13 @@ class Network:
             self._purged.discard(msg.msg_id)
             return
         dst = msg.dst
-        pair = (msg.src, dst)
-        fifo = self._pair_fifo.get(pair)
-        if not fifo or fifo[0] is not msg:
+        link = self._links[(msg.src, dst)]
+        if msg.pair_seq != link.delivered:
             raise SimulationError(
-                f"FIFO violation delivering {msg!r}; head is "
-                f"{fifo[0]!r}" if fifo else f"lost message {msg!r}"
+                f"FIFO violation delivering {msg!r}: it is message "
+                f"{msg.pair_seq} of its pair, expected {link.delivered}"
             )
-        fifo.popleft()
-        if not fifo:
-            del self._pair_fifo[pair]
+        link.delivered += 1
         del self._to_dst[dst][msg.msg_id]
         total = self._in_flight_total - 1
         self._in_flight_total = total
@@ -267,9 +333,9 @@ class Network:
             return sum(m.nbytes for m in msgs if m.src == src)
         return sum(
             m.nbytes
-            for (s, _d), fifo in self._pair_fifo.items()
-            if src is None or s == src
-            for m in fifo
+            for d in self._to_dst
+            for m in d.values()
+            if src is None or m.src == src
         )
 
     def pending_messages(self) -> List[Message]:
@@ -301,11 +367,15 @@ class Network:
         and those are regenerated by replay — the restart engine asserts
         exactly that before calling this."""
         n = 0
+        links = self._links
         for d in self._to_dst:
+            for m in d.values():
+                # every message the pair sent has now left the fabric
+                link = links[(m.src, m.dst)]
+                link.delivered = link.messages
             self._purged.update(d)
             n += len(d)
             d.clear()
-        self._pair_fifo.clear()
         self._in_flight_total = 0
         return n
 

@@ -344,3 +344,68 @@ def test_property_bcast_any_root(p, root):
 
     run = run_native(p, prog)
     assert all(r == ("blob", root) for r in run.results)
+
+
+# ----------------------------------------------------------------------
+# request-id parity of the request-free collective message path
+# ----------------------------------------------------------------------
+PARITY_P = 5
+#: per-rank start delays (a permutation of 0..4 ms): early ranks park on
+#: their receives, late ranks find messages already arrived
+PARITY_DELAY = [(r * 7 % PARITY_P) * 1e-3 for r in range(PARITY_P)]
+
+PARITY_CALLS = {
+    "barrier": lambda lib, t, c: lib.barrier(t, c),
+    "bcast": lambda lib, t, c: lib.bcast(t, c, t.world_rank, 0),
+    "reduce": lambda lib, t, c: lib.reduce(t, c, t.world_rank, SUM, 0),
+    "allreduce": lambda lib, t, c: lib.allreduce(t, c, t.world_rank, SUM),
+    "gather": lambda lib, t, c: lib.gather(t, c, t.world_rank, 0),
+    "scatter": lambda lib, t, c: lib.scatter(
+        t, c, list(range(PARITY_P)) if t.world_rank == 0 else None, 0),
+    "allgather": lambda lib, t, c: lib.allgather(t, c, t.world_rank),
+    "alltoall": lambda lib, t, c: lib.alltoall(t, c, list(range(PARITY_P))),
+    "scan": lambda lib, t, c: lib.scan(t, c, t.world_rank, SUM),
+    "reduce_scatter_block": lambda lib, t, c: lib.reduce_scatter_block(
+        t, c, list(range(PARITY_P)), SUM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CALLS))
+def test_collective_messages_draw_two_request_ids_each(name):
+    """Every collective-internal message draws exactly one request id on
+    each side, whichever receive path takes it: the ids reach traced
+    ``MPI_Wait(<RealReq #N>)`` park reasons, so a slip would move every
+    later trace line."""
+    from repro.des.syscalls import Advance
+    from repro.simmpi import request
+
+    paths = {"arrived": 0, "parked": 0}
+
+    def prog(lib, task):
+        if "_recv_coll" not in vars(lib):
+            recv = lib._recv_coll
+
+            def counted(task, ctx, src, tag):
+                arrived = any(
+                    m.context_id == ctx and m.src == src and m.tag == tag
+                    for m in lib.endpoints[task.world_rank].unexpected
+                )
+                paths["arrived" if arrived else "parked"] += 1
+                payload = yield from recv(task, ctx, src, tag)
+                return payload
+
+            lib._recv_coll = counted
+        yield Advance(PARITY_DELAY[task.world_rank])
+        out = yield from PARITY_CALLS[name](lib, task, lib.comm_world)
+        return out
+
+    before = next(request._req_ids)
+    run = run_native(PARITY_P, prog)
+    drawn = next(request._req_ids) - before - 1
+    messages = run.network.stats.messages
+    assert messages > 0
+    assert paths["arrived"] + paths["parked"] == messages
+    assert paths["arrived"] > 0 and paths["parked"] > 0
+    assert drawn == 2 * messages
+    for ep in run.lib.endpoints:
+        assert ep.posted == [] and ep.unexpected == []

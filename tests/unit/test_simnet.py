@@ -134,6 +134,24 @@ class TestInFlightAccounting:
         assert net.stats.messages == 5
         assert net.stats.bytes == 500
 
+    def test_pair_totals_are_read_only_views(self):
+        sched, net = make_net(2)
+        net.attach_endpoint(0, lambda m: None)
+        net.attach_endpoint(1, lambda m: None)
+        for nbytes in (3, 4):
+            net.inject(Message(src=0, dst=1, context_id=0, tag=0,
+                               payload=None, nbytes=nbytes))
+        sched.run()
+        stats = net.stats
+        assert dict(stats.pair_messages) == {(0, 1): 2}
+        assert dict(stats.pair_bytes) == {(0, 1): 7}
+        # an unused pair reads as 0 and is not inserted
+        assert stats.pair_bytes[(1, 0)] == 0
+        assert (1, 0) not in stats.pair_bytes
+        assert len(stats.pair_messages) == 1
+        with pytest.raises(TypeError):
+            stats.pair_bytes[(1, 0)] = 1  # type: ignore[index]
+
 
 class TestInFlightIndex:
     def test_queries_are_in_message_id_order(self):
@@ -164,11 +182,14 @@ class TestInFlightIndex:
                     net.inject(Message(src=src, dst=dst, context_id=1,
                                        tag=0, payload=None, nbytes=16))
         assert net.in_flight_count() == p * (p - 1)
-        assert len(net._pair_fifo) == p * (p - 1)
+        assert len(net._links) == p * (p - 1)
+        assert all(link.messages - link.delivered == 1
+                   for link in net._links.values())
         sched.run()
         assert len(got) == p * (p - 1)
         assert net.in_flight_count() == 0
-        assert net._pair_fifo == {}
+        assert all(link.delivered == link.messages == 1
+                   for link in net._links.values())
         assert all(not d for d in net._to_dst)
         assert net.pending_messages() == []
         net.assert_empty()
@@ -190,9 +211,24 @@ class TestInFlightIndex:
         sched.run()
         assert [m.tag for m in got] == [10, 11, 12]
         assert net.in_flight_count() == 0
-        assert net._pair_fifo == {}
+        link = net._links[(0, 1)]
+        assert link.delivered == link.messages == 6
         assert all(not d for d in net._to_dst)
         net.assert_empty()
+
+    def test_out_of_order_delivery_is_a_fifo_violation(self):
+        sched, net = make_net(2)
+        net.attach_endpoint(0, lambda m: None)
+        net.attach_endpoint(1, lambda m: None)
+        first = Message(src=0, dst=1, context_id=0, tag=0, payload=None,
+                        nbytes=1)
+        second = Message(src=0, dst=1, context_id=0, tag=1, payload=None,
+                         nbytes=1)
+        net.inject(first)
+        net.inject(second)
+        assert (first.pair_seq, second.pair_seq) == (0, 1)
+        with pytest.raises(SimulationError, match="FIFO violation"):
+            net._deliver(second)
 
     def test_partial_delivery_bytes_and_app_context_filter(self):
         sched, net = make_net(3)
