@@ -12,89 +12,35 @@ seeded-random rank is killed after the first committed epoch (calibrated
 against a fault-free run with the same interval, so the kill provably
 lands after a durable image exists).  Every point asserts the job still
 produces bit-identical results, and the whole sweep is run twice with
-the same seed to assert the summary itself is deterministic.
+the same seed to assert the summary itself is deterministic.  Each
+point is one ``fault_recovery`` campaign cell
+(:mod:`repro.campaign.cells`), the same definition the
+``fault-recovery`` campaign spec fans out; this script is the grid, the
+table and the checks.
 
-Expected shape: work lost and recovery overhead shrink as the
-checkpoint interval shrinks (less progress between the last durable
-epoch and the crash), while detection latency stays flat — it is set by
-the heartbeat timeout, not by the interval.
+Expected shape: detection latency stays flat (the heartbeat timeout
+sets it), while work lost and recovery overhead follow the distance from
+the last commit to the kill.
 """
 
-from repro.apps.micro import TokenRing
 from repro.bench import BenchScale, current_scale, save_result, write_bench_json
-from repro.faults import FaultInjector, FaultSchedule
-from repro.hosts import TESTBOX
-from repro.mana import ManaConfig
-from repro.mana.session import ManaSession
+from repro.campaign.cells import run_cell
 from repro.util.tables import AsciiTable
 
 #: checkpoint interval as a fraction of the fault-free runtime
 INTERVAL_FRACS = (0.15, 0.25, 0.4)
 
 
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
-
-def fault_point(nranks: int, interval_frac: float, seed: int) -> dict:
-    """One sweep point: periodic checkpoints + one seeded-random kill."""
-    factory, expected = _workload(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected
-    interval = ref.elapsed * interval_frac
-    # calibrate: the faulted run is event-identical to this fault-free
-    # run until the kill fires, so the first commit time is exact
-    base = ManaSession(
-        nranks, factory, TESTBOX, ManaConfig.fault_tolerant()
-    ).run(checkpoint_interval=interval)
-    first_commit = next(
-        r["completed_at"] for r in base.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    )
-    tail = base.elapsed - first_commit
-    sess = ManaSession(nranks, factory, TESTBOX, ManaConfig.fault_tolerant())
-    plan = FaultSchedule(seed=seed).random_kill(
-        nranks, first_commit + 0.05 * tail, first_commit + 0.8 * tail
-    )
-    FaultInjector(sess, plan).arm()
-    out = sess.run(checkpoint_interval=interval)
-    assert out.results == expected, "recovery changed the application output"
-    assert len(out.recoveries) == 1, "expected exactly one recovery"
-    kill = next(f for f in out.faults if f["kind"] == "kill_rank")
-    detection = out.detections[0]
-    recovery = out.recoveries[0]
-    return {
-        "interval_frac": interval_frac,
-        "interval": interval,
-        "killed_rank": kill["rank"],
-        "killed_at": kill["at"],
-        "detection_latency": detection["detected_at"] - kill["at"],
-        "work_lost": recovery["work_lost"],
-        "recovery_overhead": out.elapsed - base.elapsed,
-        "checkpoints_committed": len(
-            [r for r in out.checkpoints
-             if not r.get("aborted") and not r.get("skipped")]
-        ),
-        "checkpoints_aborted": len(
-            [r for r in out.checkpoints if r.get("aborted")]
-        ),
-        "elapsed": out.elapsed,
-        "base_elapsed": base.elapsed,
-        "ref_elapsed": ref.elapsed,
-    }
-
-
 def sweep(seed: int = 7) -> dict:
+    """One ``fault_recovery`` campaign cell per interval, in-process."""
     nranks = 8 if current_scale() is BenchScale.FULL else 4
     return {
         "nranks": nranks,
         "seed": seed,
         "points": [
-            fault_point(nranks, frac, seed) for frac in INTERVAL_FRACS
+            run_cell("fault_recovery", {"nranks": nranks,
+                                        "interval_frac": frac, "seed": seed})
+            for frac in INTERVAL_FRACS
         ],
     }
 

@@ -15,21 +15,21 @@ after the first committed epoch (calibrated per policy — redundancy
 changes commit times).  Each point records the checkpoint overhead of
 the fault-free run, whether the job survived the node loss, the epoch
 it recovered at, and the work lost.  The whole sweep is run twice with
-the same seed to assert the summary is deterministic.
+the same seed to assert the summary is deterministic.  Each point is
+one ``storage_redundancy`` campaign cell (:mod:`repro.campaign.cells`),
+the same definition the ``storage-redundancy`` campaign spec fans out;
+this script is the grid, the table and the checks.
 
 Expected shape: redundant policies survive at the newest epoch;
 ``local_only`` does not survive a node loss at all (its recovery error
 is the point); heavier write paths cost more per checkpoint.
 """
 
-from repro.apps.micro import TokenRing
 from repro.bench import BenchScale, current_scale, save_result, write_bench_json
-from repro.errors import RecoveryError
-from repro.faults import FaultInjector, FaultSchedule
+from repro.campaign.cells import run_cell
+from repro.faults.scenarios import reference_run
 from repro.hosts import TESTBOX_MN
 from repro.mana import ManaConfig
-from repro.mana.session import ManaSession
-from repro.storage import policy_by_name
 from repro.util.tables import AsciiTable
 
 #: redundancy policies under test, cheapest write path first
@@ -39,92 +39,20 @@ POLICY_NAMES = ("local_only", "bb_only", "partner", "xor4", "ladder")
 INTERVAL_FRACS = (0.25, 0.4)
 
 
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
-
-def storage_point(nranks: int, policy_name: str, interval_frac: float,
-                  seed: int, ref_elapsed: float, expected, factory) -> dict:
-    """One sweep point: periodic checkpoints under one redundancy policy,
-    then a node loss after the first committed epoch."""
-    cfg = ManaConfig.fault_tolerant().but(storage=policy_by_name(policy_name))
-    interval = ref_elapsed * interval_frac
-    # calibrate per policy: the faulted run is event-identical to this
-    # fault-free run until the node dies, so the commit time is exact
-    base = ManaSession(nranks, factory, TESTBOX_MN, cfg).run(
-        checkpoint_interval=interval
-    )
-    assert base.results == expected
-    committed = [
-        r for r in base.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    ]
-    first_commit = committed[0]["completed_at"]
-    fault_at = first_commit + 0.4 * (base.elapsed - first_commit)
-    victim = seed % nranks
-    node = TESTBOX_MN.node_of(victim)
-
-    sess = ManaSession(nranks, factory, TESTBOX_MN, cfg)
-    plan = FaultSchedule(seed=seed).lose_node(node, fault_at)
-    FaultInjector(sess, plan).arm()
-    point = {
-        "policy": policy_name,
-        "interval_frac": interval_frac,
-        "interval": interval,
-        "victim": victim,
-        "node": node,
-        "fault_at": fault_at,
-        "ckpt_overhead": base.elapsed - ref_elapsed,
-        "ckpts_committed": len(committed),
-        "overhead_per_ckpt": (
-            (base.elapsed - ref_elapsed) / len(committed) if committed else 0.0
-        ),
-        "copies_per_epoch": base.storage.get("copies_written", 0)
-        // max(1, base.storage.get("epochs_committed", 1)),
-    }
-    try:
-        out = sess.run(checkpoint_interval=interval)
-    except RecoveryError as exc:
-        # redundancy disabled: the node loss destroyed every copy the
-        # victim ever wrote — the job is unrecoverable, which is the
-        # negative result this sweep exists to show
-        point.update(
-            survived=False, recovered_epoch=None, epoch_fallbacks=None,
-            work_lost=None, recovery_overhead=None, elapsed=None,
-            error=type(exc).__name__,
-        )
-        return point
-    assert out.results == expected, "recovery changed the application output"
-    recovery = out.recoveries[0]
-    point.update(
-        survived=True,
-        recovered_epoch=recovery["epoch"],
-        epoch_fallbacks=recovery.get("epoch_fallbacks", 0),
-        work_lost=recovery["work_lost"],
-        recovery_overhead=out.elapsed - base.elapsed,
-        elapsed=out.elapsed,
-        error=None,
-    )
-    return point
-
-
 def sweep(seed: int = 7, policies=POLICY_NAMES, fracs=INTERVAL_FRACS) -> dict:
+    """One ``storage_redundancy`` campaign cell per policy × interval,
+    in-process."""
     nranks = 8 if current_scale() is BenchScale.FULL else 4
-    factory, expected = _workload(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected
+    ref = reference_run(nranks, TESTBOX_MN)[2]
     return {
         "nranks": nranks,
         "seed": seed,
         "machine": TESTBOX_MN.name,
         "ref_elapsed": ref.elapsed,
         "points": [
-            storage_point(nranks, p, frac, seed, ref.elapsed,
-                          expected, factory)
+            run_cell("storage_redundancy", {"nranks": nranks, "policy": p,
+                                            "interval_frac": frac,
+                                            "seed": seed})
             for p in policies
             for frac in fracs
         ],

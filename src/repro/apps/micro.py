@@ -45,6 +45,14 @@ class TokenRing(MpiProgram):
         return [lap * 1000 + rank - 1 for lap in range(laps)]
 
 
+def token_ring_job(nranks: int, laps: int = 10):
+    """The fault studies' token-ring job: ``(factory, expected)``, the
+    per-rank program factory and every rank's expected result."""
+    factory = lambda r: TokenRing(r, laps=laps, compute_s=2e-3)  # noqa: E731
+    expected = [TokenRing.expected(r, nranks, laps) for r in range(nranks)]
+    return factory, expected
+
+
 class AllreduceLoop(MpiProgram):
     """Iterated allreduce with compute: the minimal collective workload."""
 

@@ -20,9 +20,9 @@ import signal
 import time
 from typing import Callable, Dict
 
-from repro.apps.micro import TokenRing
 from repro.errors import RecoveryError
 from repro.faults.injector import FaultInjector
+from repro.faults.scenarios import reference_run, run_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.hosts import TESTBOX, TESTBOX_MN
 from repro.mana.config import ManaConfig
@@ -49,16 +49,6 @@ def run_cell(kind: str, params: dict, attempt: int = 0) -> dict:
             f"unknown cell kind {kind!r}; known: {', '.join(CELL_KINDS)}"
         )
     return CELL_KINDS[kind](params, attempt)
-
-
-# ----------------------------------------------------------------------
-# shared workload helpers (mirror the fault/storage benches)
-# ----------------------------------------------------------------------
-
-def _token_ring(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +84,6 @@ def synthetic(params: dict, attempt: int) -> dict:
 @cell_kind("scenario")
 def scenario(params: dict, attempt: int) -> dict:
     """One named survivability scenario (repro.faults.scenarios)."""
-    from repro.faults.scenarios import run_scenario
-
     summary = run_scenario(params["scenario"], seed=int(params["seed"]),
                            nranks=int(params["nranks"]))
     summary["verdict"] = "ok" if summary["ok"] else "failed"
@@ -106,24 +94,19 @@ def scenario(params: dict, attempt: int) -> dict:
 @cell_kind("fault_recovery")
 def fault_recovery(params: dict, attempt: int) -> dict:
     """One point of the fault-recovery sweep: periodic checkpoints, one
-    seeded-random kill after the first committed epoch (mirrors
-    ``benchmarks/bench_fault_recovery.py``)."""
+    seeded-random kill after the first committed epoch.  The job must
+    recover exactly once and reproduce the fault-free results."""
     nranks = int(params["nranks"])
     interval_frac = float(params["interval_frac"])
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected
+    factory, expected, ref = reference_run(nranks)
     interval = ref.elapsed * interval_frac
+    # calibrate: the faulted run is event-identical to this fault-free
+    # run until the kill fires, so the first commit time is exact
     base = ManaSession(
         nranks, factory, TESTBOX, ManaConfig.fault_tolerant()
     ).run(checkpoint_interval=interval)
-    first_commit = next(
-        r["completed_at"] for r in base.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    )
+    first_commit = base.committed_checkpoints[0]["completed_at"]
     tail = base.elapsed - first_commit
     sess = ManaSession(nranks, factory, TESTBOX, ManaConfig.fault_tolerant())
     plan = FaultSchedule(seed=seed).random_kill(
@@ -132,15 +115,22 @@ def fault_recovery(params: dict, attempt: int) -> dict:
     FaultInjector(sess, plan).arm()
     out = sess.run(checkpoint_interval=interval)
     assert out.results == expected, "recovery changed the application output"
+    assert len(out.recoveries) == 1, "expected exactly one recovery"
     kill = next(f for f in out.faults if f["kind"] == "kill_rank")
     return {
+        "interval_frac": interval_frac,
         "interval": interval,
         "killed_rank": kill["rank"],
         "killed_at": kill["at"],
         "detection_latency": out.detections[0]["detected_at"] - kill["at"],
         "work_lost": out.recoveries[0]["work_lost"],
         "recovery_overhead": out.elapsed - base.elapsed,
+        "checkpoints_committed": len(out.committed_checkpoints),
+        "checkpoints_aborted": len(
+            [r for r in out.checkpoints if r.get("aborted")]
+        ),
         "elapsed": out.elapsed,
+        "base_elapsed": base.elapsed,
         "ref_elapsed": ref.elapsed,
     }
 
@@ -150,30 +140,25 @@ def fault_recovery(params: dict, attempt: int) -> dict:
 def storage_redundancy(params: dict, attempt: int) -> dict:
     """One point of the storage-redundancy sweep: periodic checkpoints
     under one redundancy policy, then a node loss after the first
-    committed epoch (mirrors ``benchmarks/bench_storage_redundancy.py``).
-    An unrecoverable job is an expected negative result, not a cell
-    failure: it reports ``outcome == "unrecoverable"`` (``local_only``
-    always; ``xor4`` when the victim shares a node with the group's
-    parity block — see the campaign notes in EXPERIMENTS.md)."""
+    committed epoch.  An unrecoverable job is an expected negative
+    result, not a cell failure: it reports ``survived == False`` with
+    the recovery error's type (``local_only`` always; ``xor4`` when the
+    victim shares a node with the group's parity block — see the
+    campaign notes in EXPERIMENTS.md)."""
     nranks = int(params["nranks"])
     policy_name = params["policy"]
     interval_frac = float(params["interval_frac"])
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected
+    factory, expected, ref = reference_run(nranks, TESTBOX_MN)
     cfg = ManaConfig.fault_tolerant().but(storage=policy_by_name(policy_name))
     interval = ref.elapsed * interval_frac
+    # calibrate per policy: the faulted run is event-identical to this
+    # fault-free run until the node dies, so the commit time is exact
     base = ManaSession(nranks, factory, TESTBOX_MN, cfg).run(
         checkpoint_interval=interval
     )
     assert base.results == expected
-    committed = [
-        r for r in base.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    ]
+    committed = base.committed_checkpoints
     first_commit = committed[0]["completed_at"]
     fault_at = first_commit + 0.4 * (base.elapsed - first_commit)
     victim = seed % nranks
@@ -182,29 +167,37 @@ def storage_redundancy(params: dict, attempt: int) -> dict:
     FaultInjector(sess, FaultSchedule(seed=seed).lose_node(node, fault_at)).arm()
     point = {
         "policy": policy_name,
+        "interval_frac": interval_frac,
         "interval": interval,
         "victim": victim,
         "node": node,
         "fault_at": fault_at,
         "ckpt_overhead": base.elapsed - ref.elapsed,
         "ckpts_committed": len(committed),
+        "overhead_per_ckpt": (base.elapsed - ref.elapsed) / len(committed),
         "copies_per_epoch": base.storage.get("copies_written", 0)
         // max(1, base.storage.get("epochs_committed", 1)),
     }
     try:
         out = sess.run(checkpoint_interval=interval)
     except RecoveryError as exc:
-        point.update(outcome="unrecoverable", work_lost=None,
-                     recovery_overhead=None, error=type(exc).__name__)
+        # the node loss destroyed every copy the victim could restart
+        # from: the negative result the sweep exists to show
+        point.update(
+            survived=False, recovered_epoch=None, epoch_fallbacks=None,
+            work_lost=None, recovery_overhead=None, elapsed=None,
+            error=type(exc).__name__,
+        )
         return point
     assert out.results == expected, "recovery changed the application output"
     recovery = out.recoveries[0]
     point.update(
-        outcome="survived",
+        survived=True,
         recovered_epoch=recovery["epoch"],
         epoch_fallbacks=recovery.get("epoch_fallbacks", 0),
         work_lost=recovery["work_lost"],
         recovery_overhead=out.elapsed - base.elapsed,
+        elapsed=out.elapsed,
         error=None,
     )
     return point
@@ -246,11 +239,7 @@ def availability(params: dict, attempt: int) -> dict:
     interval_frac = float(params["interval_frac"])
     mtbf_frac = float(params["mtbf_frac"])
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected
+    factory, expected, ref = reference_run(nranks)
     interval = ref.elapsed * interval_frac
     mtbf = ref.elapsed * mtbf_frac
     base = ManaSession(

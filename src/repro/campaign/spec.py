@@ -193,7 +193,7 @@ def spec_storage_redundancy(seeds: int = 4, nranks: int = 4) -> CampaignSpec:
               "seed": tuple(range(seeds))},
         group_by=("policy", "interval_frac"),
         metrics=("work_lost", "ckpt_overhead", "copies_per_epoch"),
-        categoricals=("outcome",),
+        categoricals=("survived",),
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.micro import TokenRing
+from repro.apps.micro import token_ring_job
 from repro.des.process import ProcState
 from repro.errors import JobLostError
 from repro.hosts import TESTBOX_MN
@@ -63,14 +63,8 @@ def chaos_config() -> ManaConfig:
     )
 
 
-def _workload(nranks: int, laps: int):
-    factory = lambda r: TokenRing(r, laps=laps, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, laps) for r in range(nranks)]
-    return factory, expected
-
-
 def _session(nranks: int, laps: int) -> ManaSession:
-    factory, _ = _workload(nranks, laps)
+    factory, _ = token_ring_job(nranks, laps)
     sess = ManaSession(nranks, factory, TESTBOX_MN, chaos_config())
     sess.sched._max_events = _MAX_EVENTS
     return sess
@@ -80,7 +74,7 @@ def chaos_golden(nranks: int = 4, laps: int = 6) -> dict:
     """The fault-free reference: same config, same periodic checkpoints,
     zero injections.  Defines the event range to sweep, the result every
     surviving run must reproduce bit-for-bit, and the horizon."""
-    factory, expected = _workload(nranks, laps)
+    factory, expected = token_ring_job(nranks, laps)
     probe = ManaSession(nranks, factory, TESTBOX_MN, chaos_config()).run()
     assert probe.results == expected, "chaos workload reference is wrong"
     interval = probe.elapsed / 3.0
@@ -94,9 +88,7 @@ def chaos_golden(nranks: int = 4, laps: int = 6) -> dict:
         "events": sess.sched.events_run,
         "elapsed": out.elapsed,
         "expected": expected,
-        "epochs_committed": len([r for r in out.checkpoints
-                                 if not r.get("skipped")
-                                 and not r.get("aborted")]),
+        "epochs_committed": len(out.committed_checkpoints),
     }
 
 

@@ -3,8 +3,8 @@
 Each scenario builds a workload, calibrates timing against a fault-free
 reference run, injects its faults, and returns a JSON-friendly summary
 with an ``ok`` verdict.  They are exercised three ways: the integration
-tests, the ``repro-mana faults`` CLI subcommand, and
-``benchmarks/bench_fault_recovery.py``.
+tests, the ``repro-mana faults`` CLI subcommand, and the ``scenario``
+campaign cell kind (the ``scenarios`` campaign spec).
 
 Everything is deterministic in ``(seed, nranks)``: the same invocation
 produces bit-identical summaries, virtual times included.
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.apps.micro import TokenRing
+from repro.apps.micro import token_ring_job
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.hosts import TESTBOX, TESTBOX_MN
+from repro.hosts import MachineSpec, TESTBOX, TESTBOX_MN
 from repro.mana.config import ManaConfig
 from repro.mana.session import CheckpointPlan, ManaSession
 from repro.storage import StoragePolicy
@@ -57,17 +57,13 @@ def run_scenario(name: str, seed: int = 0, nranks: int = 4) -> dict:
 
 
 # ----------------------------------------------------------------------
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
-
-def _reference(nranks: int):
-    factory, expected = _workload(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX, ManaConfig.feature_2pc()
-    ).run()
+def reference_run(nranks: int, machine: MachineSpec = TESTBOX):
+    """The fault studies' fault-free yardstick: the token-ring job
+    (:func:`~repro.apps.micro.token_ring_job`) run once under
+    ``feature_2pc`` on ``machine``.  Returns ``(factory, expected, ref)``;
+    fault timings and overheads are calibrated against ``ref.elapsed``."""
+    factory, expected = token_ring_job(nranks)
+    ref = ManaSession(nranks, factory, machine, ManaConfig.feature_2pc()).run()
     assert ref.results == expected, "reference run is wrong; workload bug"
     return factory, expected, ref
 
@@ -79,7 +75,7 @@ def _reference(nranks: int):
     "must finish correctly via automatic rollback-restart",
 )
 def kill_after_ckpt(seed: int, nranks: int) -> dict:
-    factory, expected, ref = _reference(nranks)
+    factory, expected, ref = reference_run(nranks)
     plans = [CheckpointPlan(at=ref.elapsed * 0.3, action="resume")]
     # calibrate against a fault-free fault-tolerant run: the faulted run
     # is event-identical until the kill fires, so the calibrated commit
@@ -121,7 +117,7 @@ def kill_after_ckpt(seed: int, nranks: int) -> dict:
     "epoch cleanly — no wedge, no partial image counted as durable",
 )
 def bb_write_abort(seed: int, nranks: int) -> dict:
-    factory, expected, ref = _reference(nranks)
+    factory, expected, ref = reference_run(nranks)
     sess = ManaSession(nranks, factory, TESTBOX, ManaConfig.fault_tolerant())
     victim = seed % nranks
     plan = FaultSchedule(seed=seed).fail_bb_write(
@@ -135,10 +131,7 @@ def bb_write_abort(seed: int, nranks: int) -> dict:
         ]
     )
     aborted = [r for r in out.checkpoints if r.get("aborted")]
-    committed = [
-        r for r in out.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    ]
+    committed = out.committed_checkpoints
     durable_epochs = sorted(
         {
             m.durable_image.epoch
@@ -169,7 +162,7 @@ def bb_write_abort(seed: int, nranks: int) -> dict:
     "the bounded retransmit timer must re-send it and the cycle commit",
 )
 def drop_commit(seed: int, nranks: int) -> dict:
-    factory, expected, ref = _reference(nranks)
+    factory, expected, ref = reference_run(nranks)
     sess = ManaSession(nranks, factory, TESTBOX, ManaConfig.fault_tolerant())
     victim = seed % nranks
     plan = FaultSchedule(seed=seed).drop_oob("checkpoint", dst=victim, count=1)
@@ -177,10 +170,7 @@ def drop_commit(seed: int, nranks: int) -> dict:
     out = sess.run(
         checkpoints=[CheckpointPlan(at=ref.elapsed * 0.4, action="resume")]
     )
-    committed = [
-        r for r in out.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    ]
+    committed = out.committed_checkpoints
     retries = list(sess.coordinator.retry_events)
     return {
         "ok": (
@@ -224,11 +214,7 @@ def _two_ckpt_run(nranks: int, factory, policy, plans, schedule=None):
     "disabled falls back to the previous durable epoch",
 )
 def node_loss_degraded(seed: int, nranks: int) -> dict:
-    factory, expected = _workload(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected, "reference run is wrong; workload bug"
+    factory, expected, ref = reference_run(nranks, TESTBOX_MN)
     plans = [
         CheckpointPlan(at=ref.elapsed * 0.3, action="resume"),
         CheckpointPlan(at=ref.elapsed * 0.6, action="resume"),
@@ -314,11 +300,7 @@ def node_loss_degraded(seed: int, nranks: int) -> dict:
 def corrupt_blob(seed: int, nranks: int) -> dict:
     from repro.util.trace import RingBufferSink
 
-    factory, expected = _workload(nranks)
-    ref = ManaSession(
-        nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
-    ).run()
-    assert ref.results == expected, "reference run is wrong; workload bug"
+    factory, expected, ref = reference_run(nranks, TESTBOX_MN)
     plans = [CheckpointPlan(at=ref.elapsed * 0.4, action="resume")]
     victim = seed % nranks
     policy = StoragePolicy.ladder()
@@ -378,7 +360,7 @@ def corrupt_blob(seed: int, nranks: int) -> dict:
     "must finish correctly whatever phase the crash lands in",
 )
 def random_chaos(seed: int, nranks: int) -> dict:
-    factory, expected, ref = _reference(nranks)
+    factory, expected, ref = reference_run(nranks)
     interval = ref.elapsed * 0.25
     # calibrate (see kill-after-ckpt): the kill may land in any 2PC
     # phase — including mid-cycle, exercising the crash-abort path — but
@@ -386,10 +368,7 @@ def random_chaos(seed: int, nranks: int) -> dict:
     base = ManaSession(
         nranks, factory, TESTBOX, ManaConfig.fault_tolerant()
     ).run(checkpoint_interval=interval)
-    first_commit = next(
-        r["completed_at"] for r in base.checkpoints
-        if not r.get("aborted") and not r.get("skipped")
-    )
+    first_commit = base.committed_checkpoints[0]["completed_at"]
     tail = base.elapsed - first_commit
     sess = ManaSession(nranks, factory, TESTBOX, ManaConfig.fault_tolerant())
     plan = FaultSchedule(seed=seed).random_kill(
@@ -403,12 +382,7 @@ def random_chaos(seed: int, nranks: int) -> dict:
         "results_correct": out.results == expected,
         "killed_rank": kill.get("rank"),
         "killed_at": kill.get("at"),
-        "checkpoints_committed": len(
-            [
-                r for r in out.checkpoints
-                if not r.get("aborted") and not r.get("skipped")
-            ]
-        ),
+        "checkpoints_committed": len(out.committed_checkpoints),
         "checkpoints_aborted": len(
             [r for r in out.checkpoints if r.get("aborted")]
         ),

@@ -87,6 +87,13 @@ class RunOutcome:
     def total_pt2pt_calls(self) -> int:
         return sum(s.pt2pt_calls for s in self.rank_stats)
 
+    @property
+    def committed_checkpoints(self) -> List[dict]:
+        """The checkpoint records whose cycle committed (neither
+        aborted nor skipped), in occurrence order."""
+        return [r for r in self.checkpoints
+                if not r.get("aborted") and not r.get("skipped")]
+
 
 def run_app_native(
     nranks: int,
@@ -172,7 +179,6 @@ class ManaSession:
         )
         self.coordinator = Coordinator(self.rt)
         self._controller_box = self.oob.register(CONTROLLER_ID)
-        self._controller_records: List[dict] = []
         self._finish_times: Dict[int, float] = {}
         self._wired = False
         #: main process per rank (rebuilt in place by crash recovery)
@@ -300,7 +306,6 @@ class ManaSession:
                         raise CheckpointError(
                             f"controller: unexpected reply {reply!r}"
                         )
-                    self._controller_records.append(reply[1])
 
             ctrl_proc = self.sched.spawn(controller(), "controller", daemon=True)
             self._aux_procs.append(ctrl_proc)

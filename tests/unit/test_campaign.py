@@ -25,7 +25,9 @@ from repro.campaign import (
     spec_smoke,
     summarize,
 )
+from repro.campaign.cells import run_cell
 from repro.errors import CampaignError
+from repro.mana.session import RunOutcome
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +221,71 @@ def test_render_summary_smoke():
     summary = aggregate_records(records, ("policy",), ("value",))
     text = render_summary(summary, title="t")
     assert "policy" in text and "value mean" in text
+
+
+# ----------------------------------------------------------------------
+# fault-study cells: the one definition of each bench and campaign point
+# ----------------------------------------------------------------------
+
+#: the point schema bench_fault_recovery renders and saves, in order
+FAULT_RECOVERY_KEYS = [
+    "interval_frac", "interval", "killed_rank", "killed_at",
+    "detection_latency", "work_lost", "recovery_overhead",
+    "checkpoints_committed", "checkpoints_aborted", "elapsed",
+    "base_elapsed", "ref_elapsed",
+]
+
+#: the point schema bench_storage_redundancy renders and saves, in order
+STORAGE_REDUNDANCY_KEYS = [
+    "policy", "interval_frac", "interval", "victim", "node", "fault_at",
+    "ckpt_overhead", "ckpts_committed", "overhead_per_ckpt",
+    "copies_per_epoch", "survived", "recovered_epoch", "epoch_fallbacks",
+    "work_lost", "recovery_overhead", "elapsed", "error",
+]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("fault_recovery", {"nranks": 4, "interval_frac": 0.25, "seed": 7}),
+    ("storage_redundancy",
+     {"nranks": 4, "policy": "local_only", "interval_frac": 0.4, "seed": 7}),
+    ("storage_redundancy",
+     {"nranks": 4, "policy": "partner", "interval_frac": 0.4, "seed": 7}),
+], ids=["fault_recovery", "storage-local_only", "storage-partner"])
+def test_fault_study_cell_schema(kind, params):
+    point = run_cell(kind, params)
+    assert json.loads(json.dumps(point)) == point
+    assert point["interval_frac"] == params["interval_frac"]
+    if kind == "fault_recovery":
+        assert list(point) == FAULT_RECOVERY_KEYS
+        assert point["detection_latency"] > 0
+        assert point["work_lost"] > 0
+        assert point["checkpoints_committed"] >= 1
+        assert point["base_elapsed"] > point["ref_elapsed"]
+        return
+    assert list(point) == STORAGE_REDUNDANCY_KEYS
+    assert point["policy"] == params["policy"]
+    assert point["ckpts_committed"] >= 1
+    if params["policy"] == "local_only":
+        # a node loss forfeits the job when every copy was node-local
+        assert point["survived"] is False
+        assert point["error"] == "JobLostError"
+        assert point["recovered_epoch"] is None
+        assert point["work_lost"] is None
+    else:
+        assert point["survived"] is True
+        assert point["error"] is None
+        assert point["recovered_epoch"] >= 1
+        assert point["work_lost"] > 0
+
+
+def test_committed_checkpoints_drop_aborted_and_skipped():
+    out = RunOutcome(results=[], elapsed=1.0, mode="mana", checkpoints=[
+        {"epoch": 1, "completed_at": 0.1},
+        {"epoch": 2, "aborted": True},
+        {"epoch": 3, "skipped": True},
+        {"epoch": 3, "completed_at": 0.4, "aborted": False},
+    ])
+    assert [r["epoch"] for r in out.committed_checkpoints] == [1, 3]
 
 
 # ----------------------------------------------------------------------
